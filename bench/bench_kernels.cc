@@ -4,9 +4,8 @@
  * MatMul family (plain, transpose-A, transpose-B, fused linear+bias)
  * across aligned, odd, and rectangular shapes, the graph structure ops
  * (GatherRowsAcc / ScatterAddRows) and LayerNorm at message-passing
- * node counts with and without pool sharding, plus the end-to-end
- * training-step and inference speedup of a GRANITE model when its math
- * runs on the optimized backend.
+ * node counts, plus the end-to-end training-step and inference speedup
+ * of a GRANITE model when its math runs on the optimized backend.
  *
  * Acceptance target (ISSUE 2): the optimized backend is >= 3x faster
  * than the reference triple-loop MatMul on 256x256x256, single-threaded.
@@ -18,10 +17,8 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "base/thread_pool.h"
 #include "bench_common.h"
 #include "ml/kernels/kernel_backend.h"
-#include "ml/kernels/optimized_backend.h"
 #include "ml/tensor.h"
 
 namespace granite::bench {
@@ -158,19 +155,6 @@ void RunMatMulTable(bool quick) {
     }
     PrintSeparator(widths);
   }
-
-  // Pool-parallel large products (informative on multi-core machines;
-  // collapses to ~1x on a single-core container).
-  base::ThreadPool pool(4);
-  const ml::OptimizedBackend pooled(&pool);
-  const double seq =
-      MeasureGflops(optimized, MatMulVariant::kPlain, 256, 256, 256,
-                    min_seconds);
-  const double par =
-      MeasureGflops(pooled, MatMulVariant::kPlain, 256, 256, 256,
-                    min_seconds);
-  std::printf("256^3 across 4 pool threads: %.2f -> %.2f GFLOP/s (%.2fx)\n\n",
-              seq, par, par / seq);
 }
 
 /** Runs `fn` repeatedly for `min_seconds` and returns calls/sec. */
@@ -188,10 +172,10 @@ double MeasureCallsPerSec(const std::function<void()>& fn,
 }
 
 /**
- * Graph structure ops and LayerNorm at message-passing node counts,
- * serial vs pool-sharded. These are memory-bound (one add per element),
- * so the parallel speedups collapse to ~1x on a single-core machine —
- * compare_bench.py skips the *_parallel_speedup advisories there.
+ * Graph structure ops and LayerNorm at message-passing node counts on
+ * the default (optimized) backend, which runs the one shared
+ * implementation of each. These ops are memory-bound (one add per
+ * element).
  */
 void RunGraphOpsTable(bool quick) {
   const double min_seconds = quick ? 0.05 : 0.2;
@@ -219,9 +203,8 @@ void RunGraphOpsTable(bool quick) {
   ml::Tensor bias_grad(1, cols);
   std::vector<float> inv_stddev(rows, 0.0f);
 
-  const ml::OptimizedBackend serial;
-  base::ThreadPool pool(4);
-  const ml::OptimizedBackend pooled(&pool);
+  const ml::KernelBackend& backend =
+      ml::GetKernelBackend(ml::KernelBackendKind::kOptimized);
 
   struct Op {
     const char* label;
@@ -250,27 +233,22 @@ void RunGraphOpsTable(bool quick) {
   };
 
   std::printf("Graph ops at %dx%d (Mrows/s)\n", rows, cols);
-  const std::vector<int> widths = {18, 10, 10, 9};
+  const std::vector<int> widths = {18, 10};
   PrintSeparator(widths);
-  PrintRow({"op", "serial", "pooled(4)", "speedup"}, widths);
+  PrintRow({"op", "Mrows/s"}, widths);
   PrintSeparator(widths);
   for (const Op& op : ops) {
     // LayerNormBackward reads `normalized`/`inv_stddev`: ensure they
     // hold a real forward result before timing it.
-    serial.LayerNormForward(rows_in, gain, bias, 1e-5f, out, normalized,
-                            inv_stddev);
-    const double serial_rate = MeasureCallsPerSec(
-        [&] { op.fn(serial); }, min_seconds);
-    const double pooled_rate = MeasureCallsPerSec(
-        [&] { op.fn(pooled); }, min_seconds);
-    const double mrows = static_cast<double>(rows) / 1e6;
-    const std::string prefix = std::string("kernels.graph_ops.") + op.metric;
-    RecordMetric(prefix + "_mrows_per_sec", serial_rate * mrows);
-    RecordMetric(prefix + "_parallel_speedup", pooled_rate / serial_rate);
-    PrintRow({op.label, Fixed(serial_rate * mrows, 2),
-              Fixed(pooled_rate * mrows, 2),
-              Fixed(pooled_rate / serial_rate, 2) + "x"},
-             widths);
+    backend.LayerNormForward(rows_in, gain, bias, 1e-5f, out, normalized,
+                             inv_stddev);
+    const double rate =
+        MeasureCallsPerSec([&] { op.fn(backend); }, min_seconds);
+    const double mrows_per_sec = rate * static_cast<double>(rows) / 1e6;
+    RecordMetric(std::string("kernels.graph_ops.") + op.metric +
+                     "_mrows_per_sec",
+                 mrows_per_sec);
+    PrintRow({op.label, Fixed(mrows_per_sec, 2)}, widths);
   }
   PrintSeparator(widths);
   std::printf("\n");

@@ -165,6 +165,13 @@ class GraniteModel : public model::ThroughputPredictor {
       const std::vector<const assembly::BasicBlock*>& blocks) const override;
 
  private:
+  /** The shared trunk of every forward pass: initial embeddings, the
+   * message-passing iterations, then a gather of the final mnemonic-node
+   * embeddings ([num_instructions, node_size], batch order). Does not
+   * count toward num_forward_passes(). */
+  ml::Var MnemonicEmbeddings(ml::Tape& tape,
+                             const graph::BatchedGraph& batch) const;
+
   /** Set only by the owning-vocabulary constructor. */
   std::unique_ptr<graph::Vocabulary> owned_vocabulary_;
   const graph::Vocabulary* vocabulary_;

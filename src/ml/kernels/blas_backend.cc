@@ -11,13 +11,9 @@
 
 #include <cblas.h>
 
-#include <cstring>
-
 #include "ml/tensor.h"
 
 namespace granite::ml {
-
-BlasBackend::BlasBackend(base::ThreadPool* pool) : OptimizedBackend(pool) {}
 
 const char* BlasBackend::name() const { return "blas"; }
 
@@ -52,18 +48,6 @@ void BlasBackend::DoMatMulTransposeBAcc(const Tensor& a, const Tensor& b,
   if (m == 0 || n == 0 || k == 0) return;
   cblas_sgemm(CblasRowMajor, CblasNoTrans, CblasTrans, m, n, k, 1.0f,
               a.data(), k, b.data(), k, 1.0f, out.data(), n);
-}
-
-void BlasBackend::DoLinearBias(const Tensor& a, const Tensor& w,
-                               const Tensor& bias, Tensor& out) const {
-  // out = A * W + bias: seed each output row with the bias, then let the
-  // accumulating sgemm add the product on top.
-  const int n = out.cols();
-  for (int r = 0; r < out.rows(); ++r) {
-    std::memcpy(out.row_data(r), bias.data(),
-                static_cast<std::size_t>(n) * sizeof(float));
-  }
-  DoMatMulAcc(a, w, out);
 }
 
 }  // namespace granite::ml

@@ -1,8 +1,10 @@
 /**
  * @file
- * The BLAS kernel backend: the MatMul family (MatMulAcc, both transposed
- * variants, and the fused LinearBias) routed through cblas `sgemm`, with
- * every other op inherited from OptimizedBackend.
+ * The BLAS kernel backend: the MatMul products (MatMulAcc and both
+ * transposed variants) routed through cblas `sgemm`; the inherited
+ * LinearBias seeds the bias and then calls the sgemm MatMulAcc. Every
+ * other op is the shared ReferenceBackend implementation; threading
+ * inside the product is the BLAS library's business.
  *
  * Only compiled when the build enables -DGRANITE_WITH_BLAS=ON (which
  * requires a system BLAS with a cblas interface, e.g. OpenBLAS). In a
@@ -11,35 +13,25 @@
  * status so callers can enumerate before selecting.
  *
  * Numerics: sgemm computes the same mathematical product as the other
- * backends but is free to reassociate, so results may differ from the
+ * backends but is free to reassociate, so products may differ from the
  * reference backend by floating-point rounding only — the same contract
- * OptimizedBackend already has. tests/kernels_test.cc enforces
- * equivalence within tolerance, and tests/backend_invariance_test.cc
- * enforces that end-to-end predictions stay bit-identical across
- * backends for the shipped models.
+ * OptimizedBackend has. tests/kernels_test.cc enforces equivalence
+ * within tolerance, and tests/backend_invariance_test.cc enforces that
+ * end-to-end predictions stay bit-identical across backends for the
+ * shipped models.
  */
 #ifndef GRANITE_ML_KERNELS_BLAS_BACKEND_H_
 #define GRANITE_ML_KERNELS_BLAS_BACKEND_H_
 
 #ifdef GRANITE_WITH_BLAS
 
-#include <cstddef>
-
 #include "ml/kernels/optimized_backend.h"
 
 namespace granite::ml {
 
-/** MatMul family on cblas sgemm; optimized kernels for everything else. */
+/** MatMul family on cblas sgemm; shared kernels for everything else. */
 class BlasBackend : public OptimizedBackend {
  public:
-  /**
-   * @param pool Optional worker pool, forwarded to OptimizedBackend for
-   *   the non-GEMM parallel kernels (gather/scatter/LayerNorm). The GEMM
-   *   overrides below never touch the pool: threading inside the matrix
-   *   product is the BLAS library's business.
-   */
-  explicit BlasBackend(base::ThreadPool* pool = nullptr);
-
   const char* name() const override;
 
  protected:
@@ -49,8 +41,6 @@ class BlasBackend : public OptimizedBackend {
                              Tensor& out) const override;
   void DoMatMulTransposeBAcc(const Tensor& a, const Tensor& b,
                              Tensor& out) const override;
-  void DoLinearBias(const Tensor& a, const Tensor& w, const Tensor& bias,
-                    Tensor& out) const override;
 };
 
 }  // namespace granite::ml

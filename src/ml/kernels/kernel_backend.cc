@@ -242,14 +242,12 @@ const ReferenceBackend& SharedReferenceBackend() {
 }
 
 const OptimizedBackend& SharedOptimizedBackend() {
-  // Pool-free: safe for concurrent use by data-parallel worker tapes.
   static const OptimizedBackend backend;
   return backend;
 }
 
 #ifdef GRANITE_WITH_BLAS
 const BlasBackend& SharedBlasBackend() {
-  // Pool-free like the other shared instances.
   static const BlasBackend backend;
   return backend;
 }

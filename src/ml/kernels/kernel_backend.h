@@ -8,16 +8,15 @@
  * layers and the graph-network aggregations — routes through a
  * KernelBackend. Three implementations ship:
  *
- *  - ReferenceBackend: the original straightforward loops, kept as the
- *    correctness oracle for the equivalence test suite.
+ *  - ReferenceBackend: the single implementation of every op outside
+ *    the MatMul family, plus naive MatMul loops kept as the correctness
+ *    oracle for the equivalence test suite.
  *  - OptimizedBackend: cache-blocked, transpose-aware MatMul micro-kernels
- *    with vectorizable inner loops, fused AXPY/scale/bias kernels, and
- *    optional large-op parallelization (MatMul row shards, gather/
- *    scatter/LayerNorm) across a base::ThreadPool.
+ *    with vectorizable inner loops; every other op is the reference's.
  *  - BlasBackend (only when built with -DGRANITE_WITH_BLAS=ON): the
- *    MatMul family routed through cblas sgemm, every other op falling
- *    back to the optimized kernels. ListKernelBackends() reports
- *    whether it was compiled in.
+ *    MatMul family routed through cblas sgemm, every other op again the
+ *    reference's. ListKernelBackends() reports whether it was compiled
+ *    in.
  *
  * Backend selection is plumbed through TrainerConfig::kernel_backend and
  * GraniteConfig::kernel_backend; the process-wide default is the
@@ -85,9 +84,7 @@ enum class BinaryOp { kAdd, kSub, kMul, kDiv };
 
 /**
  * Executes dense math kernels. Implementations must be stateless with
- * respect to calls (safe for concurrent use from many threads), except
- * where a backend documents otherwise (e.g. OptimizedBackend built over a
- * thread pool).
+ * respect to calls (safe for concurrent use from many threads).
  */
 class KernelBackend {
  public:

@@ -1,10 +1,6 @@
 #include "ml/kernels/optimized_backend.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-
-#include "base/thread_pool.h"
 
 namespace granite::ml {
 namespace {
@@ -20,16 +16,20 @@ constexpr int kNr = 16;
 // lines) resident in L1/L2 while it is swept once per output row tile.
 constexpr int kKc = 256;
 
-/** out[i0:i1) += A * B restricted to a row range of the output. */
-void MatMulRowRange(const Tensor& a, const Tensor& b, Tensor& out, int i0,
-                    int i1) {
+}  // namespace
+
+const char* OptimizedBackend::name() const { return "optimized"; }
+
+void OptimizedBackend::DoMatMulAcc(const Tensor& a, const Tensor& b,
+                                   Tensor& out) const {
+  const int m = a.rows();
   const int k = a.cols();
   const int n = b.cols();
   const int n_main = n - n % kNr;
   for (int p0 = 0; p0 < k; p0 += kKc) {
     const int p1 = std::min(p0 + kKc, k);
-    int i = i0;
-    for (; i + kMr <= i1; i += kMr) {
+    int i = 0;
+    for (; i + kMr <= m; i += kMr) {
       const float* __restrict__ a0 = a.row_data(i + 0);
       const float* __restrict__ a1 = a.row_data(i + 1);
       const float* __restrict__ a2 = a.row_data(i + 2);
@@ -90,7 +90,7 @@ void MatMulRowRange(const Tensor& a, const Tensor& b, Tensor& out, int i0,
       }
     }
     // Row remainder: plain vectorized axpy rows.
-    for (; i < i1; ++i) {
+    for (; i < m; ++i) {
       const float* __restrict__ a_row = a.row_data(i);
       float* __restrict__ o_row = out.row_data(i);
       for (int p = p0; p < p1; ++p) {
@@ -103,17 +103,16 @@ void MatMulRowRange(const Tensor& a, const Tensor& b, Tensor& out, int i0,
   }
 }
 
-/** out[i0:i1) += A^T * B restricted to a row range of the output (rows of
- * the output are columns of A). */
-void MatMulTransposeARowRange(const Tensor& a, const Tensor& b, Tensor& out,
-                              int i0, int i1) {
+void OptimizedBackend::DoMatMulTransposeAAcc(const Tensor& a, const Tensor& b,
+                                             Tensor& out) const {
   const int k = a.rows();
+  const int m = a.cols();
   const int n = b.cols();
   // Rank-1 update structure: for every p, out[i] += A[p,i] * B[p,:]. The
   // i tile of kMr output rows reuses each B row load kMr times, exactly
   // like the plain kernel, with A read column-wise (stride a.cols()).
-  int i = i0;
-  for (; i + kMr <= i1; i += kMr) {
+  int i = 0;
+  for (; i + kMr <= m; i += kMr) {
     float* __restrict__ o0 = out.row_data(i + 0);
     float* __restrict__ o1 = out.row_data(i + 1);
     float* __restrict__ o2 = out.row_data(i + 2);
@@ -136,7 +135,7 @@ void MatMulTransposeARowRange(const Tensor& a, const Tensor& b, Tensor& out,
       }
     }
   }
-  for (; i < i1; ++i) {
+  for (; i < m; ++i) {
     float* __restrict__ o_row = out.row_data(i);
     for (int p = 0; p < k; ++p) {
       const float v = a.row_data(p)[i];
@@ -148,15 +147,15 @@ void MatMulTransposeARowRange(const Tensor& a, const Tensor& b, Tensor& out,
   }
 }
 
-/** out[i0:i1) += A * B^T restricted to a row range of the output. */
-void MatMulTransposeBRowRange(const Tensor& a, const Tensor& b, Tensor& out,
-                              int i0, int i1) {
+void OptimizedBackend::DoMatMulTransposeBAcc(const Tensor& a, const Tensor& b,
+                                             Tensor& out) const {
+  const int m = a.rows();
   const int k = a.cols();
   const int n = b.rows();
   // Dot-product structure: out[i,j] += <A row i, B row j>. Tiling j by 4
   // reuses each A row load four times; each dot product vectorizes as a
   // SIMD reduction.
-  for (int i = i0; i < i1; ++i) {
+  for (int i = 0; i < m; ++i) {
     const float* __restrict__ a_row = a.row_data(i);
     float* __restrict__ o_row = out.row_data(i);
     int j = 0;
@@ -185,460 +184,6 @@ void MatMulTransposeBRowRange(const Tensor& a, const Tensor& b, Tensor& out,
 #pragma omp simd reduction(+ : sum)
       for (int p = 0; p < k; ++p) sum += a_row[p] * b_row[p];
       o_row[j] += sum;
-    }
-  }
-}
-
-}  // namespace
-
-OptimizedBackend::OptimizedBackend(base::ThreadPool* pool,
-                                   std::size_t parallel_flop_threshold,
-                                   std::size_t parallel_element_threshold)
-    : pool_(pool),
-      parallel_flop_threshold_(parallel_flop_threshold),
-      parallel_element_threshold_(parallel_element_threshold) {}
-
-const char* OptimizedBackend::name() const {
-  return pool_ != nullptr ? "optimized+pool" : "optimized";
-}
-
-void OptimizedBackend::ParallelOverRows(
-    std::size_t flops, int rows,
-    const std::function<void(int, int)>& fn) const {
-  if (pool_ == nullptr || pool_->num_threads() <= 1 || rows < 2 ||
-      flops < parallel_flop_threshold_) {
-    fn(0, rows);
-    return;
-  }
-  pool_->RunShards(0, static_cast<std::size_t>(rows),
-                   [&fn](int /*shard*/, std::size_t begin, std::size_t end) {
-                     if (begin < end) {
-                       fn(static_cast<int>(begin), static_cast<int>(end));
-                     }
-                   });
-}
-
-void OptimizedBackend::DoMatMulAcc(const Tensor& a, const Tensor& b,
-                                   Tensor& out) const {
-  const std::size_t flops = 2u * static_cast<std::size_t>(a.rows()) *
-                            static_cast<std::size_t>(a.cols()) *
-                            static_cast<std::size_t>(b.cols());
-  ParallelOverRows(flops, a.rows(), [&](int begin, int end) {
-    MatMulRowRange(a, b, out, begin, end);
-  });
-}
-
-void OptimizedBackend::DoMatMulTransposeAAcc(const Tensor& a, const Tensor& b,
-                                             Tensor& out) const {
-  const std::size_t flops = 2u * static_cast<std::size_t>(a.rows()) *
-                            static_cast<std::size_t>(a.cols()) *
-                            static_cast<std::size_t>(b.cols());
-  ParallelOverRows(flops, a.cols(), [&](int begin, int end) {
-    MatMulTransposeARowRange(a, b, out, begin, end);
-  });
-}
-
-void OptimizedBackend::DoMatMulTransposeBAcc(const Tensor& a, const Tensor& b,
-                                             Tensor& out) const {
-  const std::size_t flops = 2u * static_cast<std::size_t>(a.rows()) *
-                            static_cast<std::size_t>(a.cols()) *
-                            static_cast<std::size_t>(b.rows());
-  ParallelOverRows(flops, a.rows(), [&](int begin, int end) {
-    MatMulTransposeBRowRange(a, b, out, begin, end);
-  });
-}
-
-void OptimizedBackend::DoLinearBias(const Tensor& a, const Tensor& w,
-                                    const Tensor& bias, Tensor& out) const {
-  // Fused bias: seed every output row with the bias vector, then run the
-  // accumulating blocked product — one pass over `out` less than a
-  // separate broadcast-add.
-  const float* bias_row = bias.row_data(0);
-  const std::size_t row_bytes = static_cast<std::size_t>(out.cols()) *
-                                sizeof(float);
-  for (int r = 0; r < out.rows(); ++r) {
-    std::memcpy(out.row_data(r), bias_row, row_bytes);
-  }
-  DoMatMulAcc(a, w, out);
-}
-
-void OptimizedBackend::DoBinaryPointwise(BinaryOp op, const Tensor& a,
-                                         const Tensor& b, Tensor& out) const {
-  const float* __restrict__ pa = a.data();
-  const float* __restrict__ pb = b.data();
-  float* __restrict__ po = out.data();
-  const std::size_t n = out.size();
-  switch (op) {
-    case BinaryOp::kAdd:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
-      break;
-    case BinaryOp::kSub:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] - pb[i];
-      break;
-    case BinaryOp::kMul:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] * pb[i];
-      break;
-    case BinaryOp::kDiv:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] / pb[i];
-      break;
-  }
-}
-
-void OptimizedBackend::DoScaleInto(const Tensor& a, float factor,
-                                   Tensor& out) const {
-  const float* __restrict__ pa = a.data();
-  float* __restrict__ po = out.data();
-  const std::size_t n = out.size();
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] * factor;
-}
-
-void OptimizedBackend::DoAddScalarInto(const Tensor& a, float constant,
-                                       Tensor& out) const {
-  const float* __restrict__ pa = a.data();
-  float* __restrict__ po = out.data();
-  const std::size_t n = out.size();
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] + constant;
-}
-
-void OptimizedBackend::DoAccumulateAdd(const Tensor& a, Tensor& out) const {
-  const float* __restrict__ pa = a.data();
-  float* __restrict__ po = out.data();
-  const std::size_t n = out.size();
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) po[i] += pa[i];
-}
-
-void OptimizedBackend::DoAccumulateScaled(const Tensor& a, float factor,
-                                          Tensor& out) const {
-  const float* __restrict__ pa = a.data();
-  float* __restrict__ po = out.data();
-  const std::size_t n = out.size();
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) po[i] += pa[i] * factor;
-}
-
-void OptimizedBackend::DoAccumulateMul(const Tensor& a, const Tensor& b,
-                                       Tensor& out) const {
-  const float* __restrict__ pa = a.data();
-  const float* __restrict__ pb = b.data();
-  float* __restrict__ po = out.data();
-  const std::size_t n = out.size();
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) po[i] += pa[i] * pb[i];
-}
-
-void OptimizedBackend::DoUnaryForward(UnaryOp op, const Tensor& in,
-                                      Tensor& out, float param) const {
-  const float* __restrict__ pi = in.data();
-  float* __restrict__ po = out.data();
-  const std::size_t n = out.size();
-  switch (op) {
-    case UnaryOp::kRelu:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) po[i] = pi[i] > 0.0f ? pi[i] : 0.0f;
-      return;
-    case UnaryOp::kAbs:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) po[i] = std::abs(pi[i]);
-      return;
-    case UnaryOp::kSquare:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) po[i] = pi[i] * pi[i];
-      return;
-    default:
-      // Transcendental maps (sigmoid/tanh) and Huber gain nothing from a
-      // hand-tuned loop; reuse the reference implementation.
-      ReferenceBackend::DoUnaryForward(op, in, out, param);
-      return;
-  }
-}
-
-void OptimizedBackend::DoAccumulateUnaryGrad(UnaryOp op, const Tensor& input,
-                                             const Tensor& output,
-                                             const Tensor& out_grad,
-                                             Tensor& in_grad,
-                                             float param) const {
-  const float* __restrict__ px = input.data();
-  const float* __restrict__ py = output.data();
-  const float* __restrict__ pg = out_grad.data();
-  float* __restrict__ pd = in_grad.data();
-  const std::size_t n = in_grad.size();
-  switch (op) {
-    case UnaryOp::kRelu:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) {
-        pd[i] += px[i] > 0.0f ? pg[i] : 0.0f;
-      }
-      return;
-    case UnaryOp::kSigmoid:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) {
-        pd[i] += pg[i] * py[i] * (1.0f - py[i]);
-      }
-      return;
-    case UnaryOp::kTanh:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) {
-        pd[i] += pg[i] * (1.0f - py[i] * py[i]);
-      }
-      return;
-    case UnaryOp::kSquare:
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) pd[i] += pg[i] * 2.0f * px[i];
-      return;
-    default:
-      ReferenceBackend::DoAccumulateUnaryGrad(op, input, output, out_grad,
-                                              in_grad, param);
-      return;
-  }
-}
-
-void OptimizedBackend::DoAddRowBroadcastInto(const Tensor& a,
-                                             const Tensor& bias,
-                                             Tensor& out) const {
-  const float* __restrict__ bias_row = bias.row_data(0);
-  const int cols = a.cols();
-  for (int r = 0; r < a.rows(); ++r) {
-    const float* __restrict__ a_row = a.row_data(r);
-    float* __restrict__ out_row = out.row_data(r);
-#pragma omp simd
-    for (int c = 0; c < cols; ++c) out_row[c] = a_row[c] + bias_row[c];
-  }
-}
-
-void OptimizedBackend::DoAccumulateColumnSums(const Tensor& a,
-                                              Tensor& out_row) const {
-  float* __restrict__ sums = out_row.row_data(0);
-  const int cols = a.cols();
-  for (int r = 0; r < a.rows(); ++r) {
-    const float* __restrict__ row = a.row_data(r);
-#pragma omp simd
-    for (int c = 0; c < cols; ++c) sums[c] += row[c];
-  }
-}
-
-int OptimizedBackend::PlannedShards(std::size_t elements,
-                                    std::size_t rows) const {
-  if (pool_ == nullptr || pool_->num_threads() <= 1 || rows < 2 ||
-      elements < parallel_element_threshold_) {
-    return 1;
-  }
-  return static_cast<int>(std::min(
-      rows, static_cast<std::size_t>(pool_->num_threads())));
-}
-
-void OptimizedBackend::DoGatherRowsAcc(const Tensor& table,
-                                       const std::vector<int>& indices,
-                                       Tensor& out,
-                                       int out_col_offset) const {
-  const int width = table.cols();
-  const auto gather_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const float* __restrict__ source = table.row_data(indices[i]);
-      float* __restrict__ dest =
-          out.row_data(static_cast<int>(i)) + out_col_offset;
-#pragma omp simd
-      for (int c = 0; c < width; ++c) dest[c] += source[c];
-    }
-  };
-  const std::size_t elements =
-      indices.size() * static_cast<std::size_t>(width);
-  if (PlannedShards(elements, indices.size()) == 1) {
-    gather_range(0, indices.size());
-    return;
-  }
-  // Each output row is written by exactly one shard, so the parallel
-  // path is bit-identical to the serial loop.
-  pool_->RunShards(0, indices.size(),
-                   [&gather_range](int, std::size_t begin, std::size_t end) {
-                     gather_range(begin, end);
-                   });
-}
-
-void OptimizedBackend::DoScatterAddRows(const Tensor& rows,
-                                        const std::vector<int>& indices,
-                                        Tensor& table,
-                                        int rows_col_offset) const {
-  const int width = table.cols();
-  const std::size_t elements =
-      indices.size() * static_cast<std::size_t>(width);
-  const int shards =
-      PlannedShards(elements, static_cast<std::size_t>(table.rows()));
-  if (shards == 1) {
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const float* __restrict__ source =
-          rows.row_data(static_cast<int>(i)) + rows_col_offset;
-      float* __restrict__ dest = table.row_data(indices[i]);
-#pragma omp simd
-      for (int c = 0; c < width; ++c) dest[c] += source[c];
-    }
-    return;
-  }
-  // Scatter writes collide on duplicate indices, so parallelize by
-  // coloring the *destination*: each shard owns a contiguous range of
-  // table rows and scans the whole index list, applying only the
-  // updates that land in its range. No two shards touch the same row,
-  // and every destination row still accumulates its contributions in
-  // ascending input order — bit-identical to the serial loop.
-  const auto row_ranges = base::ThreadPool::PartitionRange(
-      static_cast<std::size_t>(table.rows()), shards);
-  pool_->RunShards(
-      0, static_cast<std::size_t>(shards),
-      [&](int, std::size_t s_begin, std::size_t s_end) {
-        for (std::size_t s = s_begin; s < s_end; ++s) {
-          const std::size_t row_begin = row_ranges[s].first;
-          const std::size_t row_end = row_ranges[s].second;
-          for (std::size_t i = 0; i < indices.size(); ++i) {
-            const std::size_t dest_row =
-                static_cast<std::size_t>(indices[i]);
-            if (dest_row < row_begin || dest_row >= row_end) continue;
-            const float* __restrict__ source =
-                rows.row_data(static_cast<int>(i)) + rows_col_offset;
-            float* __restrict__ dest = table.row_data(indices[i]);
-#pragma omp simd
-            for (int c = 0; c < width; ++c) dest[c] += source[c];
-          }
-        }
-      });
-}
-
-void OptimizedBackend::DoLayerNormForward(
-    const Tensor& x, const Tensor& gain, const Tensor& bias, float epsilon,
-    Tensor& out, Tensor& normalized, std::vector<float>& inv_stddev) const {
-  const int rows = x.rows();
-  const int cols = x.cols();
-  const float* gain_row = gain.row_data(0);
-  const float* bias_row = bias.row_data(0);
-  // Per-row statistics in double, exactly as the reference loop computes
-  // them; rows are independent, so the sharded path is bit-identical.
-  const auto norm_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t ri = begin; ri < end; ++ri) {
-      const int r = static_cast<int>(ri);
-      const float* x_row = x.row_data(r);
-      double mean = 0.0;
-      for (int c = 0; c < cols; ++c) mean += x_row[c];
-      mean /= cols;
-      double variance = 0.0;
-      for (int c = 0; c < cols; ++c) {
-        const double centered = x_row[c] - mean;
-        variance += centered * centered;
-      }
-      variance /= cols;
-      const float inv =
-          1.0f / std::sqrt(static_cast<float>(variance) + epsilon);
-      inv_stddev[r] = inv;
-      float* norm_row = normalized.row_data(r);
-      float* out_row = out.row_data(r);
-      for (int c = 0; c < cols; ++c) {
-        norm_row[c] = (x_row[c] - static_cast<float>(mean)) * inv;
-        out_row[c] = norm_row[c] * gain_row[c] + bias_row[c];
-      }
-    }
-  };
-  const std::size_t elements =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-  if (PlannedShards(elements, static_cast<std::size_t>(rows)) == 1) {
-    norm_rows(0, static_cast<std::size_t>(rows));
-    return;
-  }
-  pool_->RunShards(0, static_cast<std::size_t>(rows),
-                   [&norm_rows](int, std::size_t begin, std::size_t end) {
-                     norm_rows(begin, end);
-                   });
-}
-
-void OptimizedBackend::DoLayerNormBackward(
-    const Tensor& out_grad, const Tensor& gain, const Tensor& normalized,
-    const std::vector<float>& inv_stddev, Tensor* x_grad, Tensor* gain_grad,
-    Tensor* bias_grad) const {
-  const int rows = out_grad.rows();
-  const int cols = out_grad.cols();
-  const std::size_t elements =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-  const int shards = PlannedShards(elements, static_cast<std::size_t>(rows));
-  if (shards == 1) {
-    ReferenceBackend::DoLayerNormBackward(out_grad, gain, normalized,
-                                          inv_stddev, x_grad, gain_grad,
-                                          bias_grad);
-    return;
-  }
-  // x_grad rows are independent (direct writes); the [1,cols] gain/bias
-  // gradients are row reductions, so each shard accumulates into its own
-  // partial and the partials are reduced in shard order after the join —
-  // deterministic run to run, differing from the serial loop only by
-  // the reduction's association order.
-  const auto row_ranges = base::ThreadPool::PartitionRange(
-      static_cast<std::size_t>(rows), shards);
-  const std::size_t width = static_cast<std::size_t>(cols);
-  std::vector<std::vector<float>> gain_partials;
-  std::vector<std::vector<float>> bias_partials;
-  if (gain_grad != nullptr) {
-    gain_partials.assign(shards, std::vector<float>(width, 0.0f));
-  }
-  if (bias_grad != nullptr) {
-    bias_partials.assign(shards, std::vector<float>(width, 0.0f));
-  }
-  const float* gain_row = gain.row_data(0);
-  pool_->RunShards(
-      0, static_cast<std::size_t>(shards),
-      [&](int, std::size_t s_begin, std::size_t s_end) {
-        for (std::size_t s = s_begin; s < s_end; ++s) {
-          float* b_partial =
-              bias_grad != nullptr ? bias_partials[s].data() : nullptr;
-          float* g_partial =
-              gain_grad != nullptr ? gain_partials[s].data() : nullptr;
-          for (std::size_t ri = row_ranges[s].first;
-               ri < row_ranges[s].second; ++ri) {
-            const int r = static_cast<int>(ri);
-            const float* g_row = out_grad.row_data(r);
-            const float* n_row = normalized.row_data(r);
-            if (b_partial != nullptr) {
-              for (int c = 0; c < cols; ++c) b_partial[c] += g_row[c];
-            }
-            if (g_partial != nullptr) {
-              for (int c = 0; c < cols; ++c) {
-                g_partial[c] += g_row[c] * n_row[c];
-              }
-            }
-            if (x_grad != nullptr) {
-              double mean_dxhat = 0.0;
-              double mean_dxhat_xhat = 0.0;
-              for (int c = 0; c < cols; ++c) {
-                const double dxhat =
-                    static_cast<double>(g_row[c]) * gain_row[c];
-                mean_dxhat += dxhat;
-                mean_dxhat_xhat += dxhat * n_row[c];
-              }
-              mean_dxhat /= cols;
-              mean_dxhat_xhat /= cols;
-              float* dx_row = x_grad->row_data(r);
-              for (int c = 0; c < cols; ++c) {
-                const double dxhat =
-                    static_cast<double>(g_row[c]) * gain_row[c];
-                dx_row[c] += static_cast<float>(
-                    (dxhat - mean_dxhat - n_row[c] * mean_dxhat_xhat) *
-                    inv_stddev[r]);
-              }
-            }
-          }
-        }
-      });
-  for (int s = 0; s < shards; ++s) {
-    if (bias_grad != nullptr) {
-      float* b_grad = bias_grad->row_data(0);
-      const float* partial = bias_partials[s].data();
-      for (int c = 0; c < cols; ++c) b_grad[c] += partial[c];
-    }
-    if (gain_grad != nullptr) {
-      float* g_grad = gain_grad->row_data(0);
-      const float* partial = gain_partials[s].data();
-      for (int c = 0; c < cols; ++c) g_grad[c] += partial[c];
     }
   }
 }

@@ -1,70 +1,28 @@
 /**
  * @file
- * The optimized kernel backend: cache-blocked, register-tiled,
- * transpose-aware MatMul micro-kernels with vectorizable (`#pragma omp
- * simd`) inner loops, fused AXPY/scale/bias element-wise kernels, and
- * optional parallelization of large ops across a base::ThreadPool —
- * matrix products sharded by output rows (FLOP-gated), and the
- * graph-network structure ops (GatherRowsAcc / ScatterAddRows) plus
- * LayerNorm forward/backward sharded by rows at large node counts
- * (element-gated, since they are memory-bound).
+ * The optimized kernel backend: the MatMul products (MatMulAcc and both
+ * transposed variants) as cache-blocked, register-tiled, transpose-aware
+ * micro-kernels with vectorizable (`#pragma omp simd`) inner loops. It is
+ * the process default.
  *
- * Inherits the reference loops for the ops where a tuned kernel buys
- * nothing (transcendental element-wise maps, column-block plumbing) and
- * overrides everything on the training hot path. Equivalence with the
- * reference backend across odd/prime/blocked shapes is enforced by
- * tests/kernels_test.cc; results may differ from the reference by
- * floating-point reassociation only. The parallel gather / scatter /
- * LayerNorm-forward paths are bit-identical to their serial loops
- * (disjoint output rows, and scatter partitions by *destination* row so
- * each table row still accumulates in ascending input order); only
- * LayerNorm backward's gain/bias reduction reassociates, and it does so
- * deterministically (per-shard partials reduced in shard order).
+ * Every other op is inherited from ReferenceBackend, which holds the
+ * single implementation of each non-MatMul kernel, so those ops give the
+ * same bits on every backend. The inherited LinearBias seeds the bias and
+ * then calls this backend's MatMulAcc. The tiled products may differ from the
+ * reference's naive loops by floating-point reassociation only;
+ * tests/kernels_test.cc holds them to a tolerance across odd, prime and
+ * blocked shapes that reach every remainder path of the tiles.
  */
 #ifndef GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
 #define GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
 
-#include <cstddef>
-#include <functional>
-
 #include "ml/kernels/reference_backend.h"
-
-namespace granite::base {
-class ThreadPool;
-}  // namespace granite::base
 
 namespace granite::ml {
 
-/** Blocked/SIMD kernels; optionally parallel over a thread pool. */
+/** Blocked/SIMD MatMul family; stateless and thread-safe. */
 class OptimizedBackend : public ReferenceBackend {
  public:
-  /** Matrix products with at least this many FLOPs (2*m*n*k) are sharded
-   * across the pool when one is attached. */
-  static constexpr std::size_t kDefaultParallelFlopThreshold = 1u << 21;
-
-  /** Memory-bound ops (gather / scatter / LayerNorm) touching at least
-   * this many elements are sharded across the pool when one is attached.
-   * Higher than a FLOP-equivalent threshold would be: these ops move one
-   * element per "op", so small sizes are dominated by fork-join cost. */
-  static constexpr std::size_t kDefaultParallelElementThreshold = 1u << 16;
-
-  /**
-   * @param pool Optional worker pool for large ops. The backend stays
-   *   safe for concurrent use from many threads either way: ThreadPool
-   *   fork-join is reentrant (each RunShards call is its own join
-   *   window), so pool-attached backends may be shared across trainer
-   *   workers and serving shards.
-   * @param parallel_flop_threshold Minimum FLOP count before a matrix
-   *   product is sharded across the pool.
-   * @param parallel_element_threshold Minimum element count before a
-   *   memory-bound op is sharded across the pool.
-   */
-  explicit OptimizedBackend(
-      base::ThreadPool* pool = nullptr,
-      std::size_t parallel_flop_threshold = kDefaultParallelFlopThreshold,
-      std::size_t parallel_element_threshold =
-          kDefaultParallelElementThreshold);
-
   const char* name() const override;
 
  protected:
@@ -74,55 +32,6 @@ class OptimizedBackend : public ReferenceBackend {
                              Tensor& out) const override;
   void DoMatMulTransposeBAcc(const Tensor& a, const Tensor& b,
                              Tensor& out) const override;
-  void DoLinearBias(const Tensor& a, const Tensor& w, const Tensor& bias,
-                    Tensor& out) const override;
-  void DoBinaryPointwise(BinaryOp op, const Tensor& a, const Tensor& b,
-                         Tensor& out) const override;
-  void DoScaleInto(const Tensor& a, float factor, Tensor& out) const override;
-  void DoAddScalarInto(const Tensor& a, float constant,
-                       Tensor& out) const override;
-  void DoAccumulateAdd(const Tensor& a, Tensor& out) const override;
-  void DoAccumulateScaled(const Tensor& a, float factor,
-                          Tensor& out) const override;
-  void DoAccumulateMul(const Tensor& a, const Tensor& b,
-                       Tensor& out) const override;
-  void DoUnaryForward(UnaryOp op, const Tensor& in, Tensor& out,
-                      float param) const override;
-  void DoAccumulateUnaryGrad(UnaryOp op, const Tensor& input,
-                             const Tensor& output, const Tensor& out_grad,
-                             Tensor& in_grad, float param) const override;
-  void DoAddRowBroadcastInto(const Tensor& a, const Tensor& bias,
-                             Tensor& out) const override;
-  void DoAccumulateColumnSums(const Tensor& a, Tensor& out_row) const override;
-  void DoGatherRowsAcc(const Tensor& table, const std::vector<int>& indices,
-                       Tensor& out, int out_col_offset) const override;
-  void DoScatterAddRows(const Tensor& rows, const std::vector<int>& indices,
-                        Tensor& table, int rows_col_offset) const override;
-  void DoLayerNormForward(const Tensor& x, const Tensor& gain,
-                          const Tensor& bias, float epsilon, Tensor& out,
-                          Tensor& normalized,
-                          std::vector<float>& inv_stddev) const override;
-  void DoLayerNormBackward(const Tensor& out_grad, const Tensor& gain,
-                           const Tensor& normalized,
-                           const std::vector<float>& inv_stddev,
-                           Tensor* x_grad, Tensor* gain_grad,
-                           Tensor* bias_grad) const override;
-
- private:
-  /** Runs `rows` row-shards of a matmul on the pool when profitable,
-   * inline otherwise. `fn(begin, end)` must be safe for disjoint row
-   * ranges. */
-  void ParallelOverRows(std::size_t flops, int rows,
-                        const std::function<void(int, int)>& fn) const;
-
-  /** Shard count a memory-bound op over `rows` units touching `elements`
-   * floats should use: 1 (run inline) when no pool is attached or the op
-   * is below the element threshold, else min(rows, pool width). */
-  int PlannedShards(std::size_t elements, std::size_t rows) const;
-
-  base::ThreadPool* pool_;
-  std::size_t parallel_flop_threshold_;
-  std::size_t parallel_element_threshold_;
 };
 
 }  // namespace granite::ml

@@ -1,6 +1,7 @@
 #include "ml/kernels/reference_backend.h"
 
 #include <cmath>
+#include <cstring>
 
 namespace granite::ml {
 
@@ -59,31 +60,39 @@ void ReferenceBackend::DoMatMulTransposeBAcc(const Tensor& a, const Tensor& b,
 
 void ReferenceBackend::DoLinearBias(const Tensor& a, const Tensor& w,
                                     const Tensor& bias, Tensor& out) const {
+  // Seed every output row with the bias vector, then run the (virtual)
+  // accumulating product, so each backend's LinearBias uses its own
+  // MatMulAcc — one pass over `out` less than a separate broadcast-add.
   const float* bias_row = bias.row_data(0);
+  const std::size_t row_bytes = static_cast<std::size_t>(out.cols()) *
+                                sizeof(float);
   for (int r = 0; r < out.rows(); ++r) {
-    float* out_row = out.row_data(r);
-    for (int c = 0; c < out.cols(); ++c) out_row[c] = bias_row[c];
+    std::memcpy(out.row_data(r), bias_row, row_bytes);
   }
   DoMatMulAcc(a, w, out);
 }
 
 void ReferenceBackend::DoBinaryPointwise(BinaryOp op, const Tensor& a,
                                          const Tensor& b, Tensor& out) const {
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
+  const float* __restrict__ pa = a.data();
+  const float* __restrict__ pb = b.data();
+  float* __restrict__ po = out.data();
   const std::size_t n = out.size();
   switch (op) {
     case BinaryOp::kAdd:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
       break;
     case BinaryOp::kSub:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] - pb[i];
       break;
     case BinaryOp::kMul:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] * pb[i];
       break;
     case BinaryOp::kDiv:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] / pb[i];
       break;
   }
@@ -91,34 +100,47 @@ void ReferenceBackend::DoBinaryPointwise(BinaryOp op, const Tensor& a,
 
 void ReferenceBackend::DoScaleInto(const Tensor& a, float factor,
                                    Tensor& out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = a.data()[i] * factor;
-  }
+  const float* __restrict__ pa = a.data();
+  float* __restrict__ po = out.data();
+  const std::size_t n = out.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] * factor;
 }
 
 void ReferenceBackend::DoAddScalarInto(const Tensor& a, float constant,
                                        Tensor& out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = a.data()[i] + constant;
-  }
+  const float* __restrict__ pa = a.data();
+  float* __restrict__ po = out.data();
+  const std::size_t n = out.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] + constant;
 }
 
 void ReferenceBackend::DoAccumulateAdd(const Tensor& a, Tensor& out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) out.data()[i] += a.data()[i];
+  const float* __restrict__ pa = a.data();
+  float* __restrict__ po = out.data();
+  const std::size_t n = out.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) po[i] += pa[i];
 }
 
 void ReferenceBackend::DoAccumulateScaled(const Tensor& a, float factor,
                                           Tensor& out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] += a.data()[i] * factor;
-  }
+  const float* __restrict__ pa = a.data();
+  float* __restrict__ po = out.data();
+  const std::size_t n = out.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) po[i] += pa[i] * factor;
 }
 
 void ReferenceBackend::DoAccumulateMul(const Tensor& a, const Tensor& b,
                                        Tensor& out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] += a.data()[i] * b.data()[i];
-  }
+  const float* __restrict__ pa = a.data();
+  const float* __restrict__ pb = b.data();
+  float* __restrict__ po = out.data();
+  const std::size_t n = out.size();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) po[i] += pa[i] * pb[i];
 }
 
 void ReferenceBackend::DoAccumulateConstant(float constant,
@@ -128,11 +150,12 @@ void ReferenceBackend::DoAccumulateConstant(float constant,
 
 void ReferenceBackend::DoUnaryForward(UnaryOp op, const Tensor& in,
                                       Tensor& out, float param) const {
-  const float* pi = in.data();
-  float* po = out.data();
+  const float* __restrict__ pi = in.data();
+  float* __restrict__ po = out.data();
   const std::size_t n = out.size();
   switch (op) {
     case UnaryOp::kRelu:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) po[i] = pi[i] > 0.0f ? pi[i] : 0.0f;
       break;
     case UnaryOp::kSigmoid:
@@ -144,9 +167,11 @@ void ReferenceBackend::DoUnaryForward(UnaryOp op, const Tensor& in,
       for (std::size_t i = 0; i < n; ++i) po[i] = std::tanh(pi[i]);
       break;
     case UnaryOp::kAbs:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) po[i] = std::abs(pi[i]);
       break;
     case UnaryOp::kSquare:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) po[i] = pi[i] * pi[i];
       break;
     case UnaryOp::kHuber:
@@ -164,23 +189,26 @@ void ReferenceBackend::DoAccumulateUnaryGrad(UnaryOp op, const Tensor& input,
                                              const Tensor& out_grad,
                                              Tensor& in_grad,
                                              float param) const {
-  const float* px = input.data();
-  const float* py = output.data();
-  const float* pg = out_grad.data();
-  float* pd = in_grad.data();
+  const float* __restrict__ px = input.data();
+  const float* __restrict__ py = output.data();
+  const float* __restrict__ pg = out_grad.data();
+  float* __restrict__ pd = in_grad.data();
   const std::size_t n = in_grad.size();
   switch (op) {
     case UnaryOp::kRelu:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) {
-        if (px[i] > 0.0f) pd[i] += pg[i];
+        pd[i] += px[i] > 0.0f ? pg[i] : 0.0f;
       }
       break;
     case UnaryOp::kSigmoid:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) {
         pd[i] += pg[i] * py[i] * (1.0f - py[i]);
       }
       break;
     case UnaryOp::kTanh:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) {
         pd[i] += pg[i] * (1.0f - py[i] * py[i]);
       }
@@ -194,6 +222,7 @@ void ReferenceBackend::DoAccumulateUnaryGrad(UnaryOp op, const Tensor& input,
       }
       break;
     case UnaryOp::kSquare:
+#pragma omp simd
       for (std::size_t i = 0; i < n; ++i) pd[i] += pg[i] * 2.0f * px[i];
       break;
     case UnaryOp::kHuber:
@@ -211,20 +240,24 @@ void ReferenceBackend::DoAccumulateUnaryGrad(UnaryOp op, const Tensor& input,
 void ReferenceBackend::DoAddRowBroadcastInto(const Tensor& a,
                                              const Tensor& bias,
                                              Tensor& out) const {
-  const float* bias_row = bias.row_data(0);
+  const float* __restrict__ bias_row = bias.row_data(0);
+  const int cols = a.cols();
   for (int r = 0; r < a.rows(); ++r) {
-    const float* a_row = a.row_data(r);
-    float* out_row = out.row_data(r);
-    for (int c = 0; c < a.cols(); ++c) out_row[c] = a_row[c] + bias_row[c];
+    const float* __restrict__ a_row = a.row_data(r);
+    float* __restrict__ out_row = out.row_data(r);
+#pragma omp simd
+    for (int c = 0; c < cols; ++c) out_row[c] = a_row[c] + bias_row[c];
   }
 }
 
 void ReferenceBackend::DoAccumulateColumnSums(const Tensor& a,
                                               Tensor& out_row) const {
-  float* sums = out_row.row_data(0);
+  float* __restrict__ sums = out_row.row_data(0);
+  const int cols = a.cols();
   for (int r = 0; r < a.rows(); ++r) {
-    const float* row = a.row_data(r);
-    for (int c = 0; c < a.cols(); ++c) sums[c] += row[c];
+    const float* __restrict__ row = a.row_data(r);
+#pragma omp simd
+    for (int c = 0; c < cols; ++c) sums[c] += row[c];
   }
 }
 
@@ -273,8 +306,10 @@ void ReferenceBackend::DoGatherRowsAcc(const Tensor& table,
                                        int out_col_offset) const {
   const int width = table.cols();
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    const float* source = table.row_data(indices[i]);
-    float* dest = out.row_data(static_cast<int>(i)) + out_col_offset;
+    const float* __restrict__ source = table.row_data(indices[i]);
+    float* __restrict__ dest =
+        out.row_data(static_cast<int>(i)) + out_col_offset;
+#pragma omp simd
     for (int c = 0; c < width; ++c) dest[c] += source[c];
   }
 }
@@ -285,8 +320,10 @@ void ReferenceBackend::DoScatterAddRows(const Tensor& rows,
                                         int rows_col_offset) const {
   const int width = table.cols();
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    const float* source = rows.row_data(static_cast<int>(i)) + rows_col_offset;
-    float* dest = table.row_data(indices[i]);
+    const float* __restrict__ source =
+        rows.row_data(static_cast<int>(i)) + rows_col_offset;
+    float* __restrict__ dest = table.row_data(indices[i]);
+#pragma omp simd
     for (int c = 0; c < width; ++c) dest[c] += source[c];
   }
 }

@@ -1,8 +1,16 @@
 /**
  * @file
- * The reference kernel backend: the library's original straightforward
- * loops, kept bit-for-bit as the correctness oracle that the equivalence
- * test suite (tests/kernels_test.cc) holds the optimized backend against.
+ * The reference kernel backend. It owns two things:
+ *  - the single implementation of every op outside the MatMul family
+ *    (element-wise maps and their gradients, broadcasts, reductions,
+ *    gather/scatter, column blocks, LayerNorm). OptimizedBackend and
+ *    BlasBackend inherit these unchanged, so those ops give the same
+ *    bits on every backend. The hot element-wise and row loops carry
+ *    `#pragma omp simd`; none of them reorders a sum.
+ *  - straightforward i-k-j / dot-product MatMul loops, kept as the
+ *    correctness oracle that tests/kernels_test.cc holds the tiled and
+ *    BLAS products against. LinearBias seeds the bias and calls the
+ *    virtual MatMulAcc, so every backend shares it over its own product.
  */
 #ifndef GRANITE_ML_KERNELS_REFERENCE_BACKEND_H_
 #define GRANITE_ML_KERNELS_REFERENCE_BACKEND_H_
@@ -11,7 +19,8 @@
 
 namespace granite::ml {
 
-/** Straightforward scalar loops; stateless and thread-safe. */
+/** Naive MatMul oracle plus the shared non-MatMul kernels; stateless and
+ * thread-safe. */
 class ReferenceBackend : public KernelBackend {
  public:
   const char* name() const override { return "reference"; }

@@ -111,6 +111,10 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
       ++shard.rejected;
       return false;
     }
+    // Send the worker wake-ups owed for requests this caller already
+    // queued: a SubmitMany batch that fills the queue would otherwise
+    // wait for space only an un-woken worker can free.
+    for (; notifies > 0; --notifies) shard.queue_event.notify_one();
     shard.space_event.wait(lock, [&] {
       return shard.stopping ||
              shard.queue.size() < config_.queue_capacity;
@@ -270,10 +274,9 @@ void InferenceServer::ExecuteBatch(Shard& shard, std::vector<Request>& batch,
     try {
       predictions = model_->PredictBatchAllTasks(blocks);
     } catch (...) {
-      // A throwing forward pass (e.g. bad_alloc, or a rethrown kernel
-      // exception from a pooled backend) fails this batch's futures
-      // instead of escaping the worker thread and terminating the
-      // process.
+      // A throwing forward pass (e.g. bad_alloc) fails this batch's
+      // futures instead of escaping the worker thread and terminating
+      // the process.
       failure = std::current_exception();
     }
   }

@@ -404,7 +404,10 @@ class InferenceServer {
    * OverflowPolicy::kBlock). On admission, fills `future`, appends any
    * evicted request to `victims` (to be failed after unlock), and adds
    * the worker wakeups this enqueue earned to `notifies`; returns false
-   * on rejection (queue full under kReject, or shutting down).
+   * on rejection (queue full under kReject, or shutting down). Before
+   * waiting for space it sends (and zeroes) the wakeups already owed,
+   * so a caller enqueueing many requests under one lock never waits on
+   * a worker it has not woken.
    */
   bool EnqueueLocked(Shard& shard, std::unique_lock<std::mutex>& lock,
                      const assembly::BasicBlock* block, int task,

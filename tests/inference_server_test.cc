@@ -178,6 +178,45 @@ TEST_F(InferenceServerTest, SubmitManyAfterShutdownRejectsEverything) {
   EXPECT_EQ(server.Stats().rejected, 3u);
 }
 
+TEST_F(InferenceServerTest, SubmitManyBeyondQueueCapacityBlocksAndRecovers) {
+  // One SubmitMany call routes more requests to an idle shard than its
+  // queue holds. Under kBlock the call must wake the worker for the
+  // requests it already queued before it waits for space; otherwise no
+  // one ever frees that space. Every wait is bounded, so a regression
+  // fails here instead of hanging the suite.
+  core::GraniteModel model(&vocabulary_, TinyConfig());
+  const std::vector<double> expected = ExpectedAlone(model, 0);
+  InferenceServerConfig config;
+  config.num_workers = 1;
+  config.queue_capacity = 8;
+  config.overflow_policy = OverflowPolicy::kBlock;
+  config.batch_window = microseconds{200};
+  InferenceServer server(&model, config);
+
+  std::vector<BatchSubmitRequest> requests;
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    requests.push_back(BatchSubmitRequest{&blocks_[i], 0});
+  }
+  ASSERT_GT(requests.size(), config.queue_capacity);
+  auto submitted = std::async(std::launch::async,
+                              [&] { return server.SubmitMany(requests); });
+  constexpr std::chrono::seconds kBound{10};
+  if (submitted.wait_for(kBound) != std::future_status::ready) {
+    server.Shutdown();  // Releases the blocked call so the test can end.
+    FAIL() << "SubmitMany of " << requests.size()
+           << " requests did not return with queue_capacity "
+           << config.queue_capacity;
+  }
+  std::vector<std::optional<std::future<double>>> futures = submitted.get();
+  ASSERT_EQ(futures.size(), requests.size());
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_TRUE(futures[i].has_value()) << i;
+    ASSERT_EQ(futures[i]->wait_for(kBound), std::future_status::ready) << i;
+    EXPECT_EQ(futures[i]->get(), expected[i]) << i;
+  }
+  EXPECT_EQ(server.Stats().rejected, 0u);
+}
+
 TEST_F(InferenceServerTest, DeadlineFlushServesAPartialBatch) {
   core::GraniteModel model(&vocabulary_, TinyConfig());
   const std::vector<double> expected = ExpectedAlone(model, 0);

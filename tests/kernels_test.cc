@@ -3,26 +3,26 @@
  * Kernel-backend equivalence suite, parameterized over EVERY backend the
  * build registered (optimized always; blas when compiled in): each
  * KernelBackend operation is run through the reference oracle and the
- * backend under test on the same inputs — including odd, prime, and
- * micro-kernel-aligned shapes that exercise every remainder path of the
- * blocked kernels — and the results must agree to tight tolerance. Pool
- * sharding of the matmul and graph kernels is checked for bit-identity
- * against the serial paths. Also gradient-checks the fused tape ops
- * (Linear, ConcatGathered) against central finite differences under
- * every backend, and verifies backend selection plumbing (default,
- * env-free explicit kinds, registry enumeration, tape routing).
+ * backend under test on the same inputs. The MatMul family (and the
+ * SumAll / AccumulateRowDots reductions) must agree to tight tolerance,
+ * including on odd, prime, and micro-kernel-aligned shapes that exercise
+ * every remainder path of the blocked kernels. Every other op has one
+ * implementation shared by all backends, so it must agree bit for bit.
+ * Also gradient-checks the fused tape ops (Linear, ConcatGathered)
+ * against central finite differences under every backend, and verifies
+ * backend selection plumbing (default, env-free explicit kinds, registry
+ * enumeration, tape routing).
  */
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "base/rng.h"
-#include "base/thread_pool.h"
 #include "gtest/gtest.h"
 #include "ml/kernels/kernel_backend.h"
-#include "ml/kernels/optimized_backend.h"
-#include "ml/kernels/reference_backend.h"
 #include "ml/parameter.h"
 #include "ml/tape.h"
 
@@ -57,6 +57,20 @@ void ExpectAllClose(const Tensor& a, const Tensor& b, float tolerance,
     const float scale = std::max({1.0f, std::abs(x), std::abs(y)});
     ASSERT_NEAR(x, y, tolerance * scale)
         << label << " element " << i << " of " << a.size();
+  }
+}
+
+/** Bit-for-bit equality (so -0 != +0), for ops every backend shares one
+ * implementation of. */
+void ExpectBitIdentical(const Tensor& a, const Tensor& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.rows(), b.rows()) << label;
+  ASSERT_EQ(a.cols(), b.cols()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(a.data()[i]),
+              std::bit_cast<uint32_t>(b.data()[i]))
+        << label << " element " << i << " of " << a.size() << ": "
+        << a.data()[i] << " vs " << b.data()[i];
   }
 }
 
@@ -165,29 +179,6 @@ TEST_P(KernelEquivalenceTest, LinearBias) {
   }
 }
 
-TEST_P(KernelEquivalenceTest, PooledMatMulMatchesSequential) {
-  // The pool-attached optimized backend shards big products over rows;
-  // the result must match the shared sequential instance.
-  base::ThreadPool pool(4);
-  const OptimizedBackend pooled(&pool, /*parallel_flop_threshold=*/1);
-  for (const MatMulShape& shape : kMatMulShapes) {
-    const Tensor a = RandomTensor(shape.m, shape.k, rng_);
-    const Tensor b = RandomTensor(shape.k, shape.n, rng_);
-    Tensor ref(shape.m, shape.n);
-    Tensor opt(shape.m, shape.n);
-    reference().MatMulAcc(a, b, ref);
-    pooled.MatMulAcc(a, b, opt);
-    ExpectAllClose(ref, opt, 1e-4f, "pooled MatMulAcc");
-
-    const Tensor bt = RandomTensor(shape.n, shape.k, rng_);
-    Tensor ref_t(shape.m, shape.n);
-    Tensor opt_t(shape.m, shape.n);
-    reference().MatMulTransposeBAcc(a, bt, ref_t);
-    pooled.MatMulTransposeBAcc(a, bt, opt_t);
-    ExpectAllClose(ref_t, opt_t, 1e-4f, "pooled MatMulTransposeBAcc");
-  }
-}
-
 TEST_P(KernelEquivalenceTest, ElementwiseOps) {
   const int rows = 13;
   const int cols = 37;
@@ -200,37 +191,37 @@ TEST_P(KernelEquivalenceTest, ElementwiseOps) {
     Tensor opt(rows, cols);
     reference().BinaryPointwise(op, a, b, ref);
     backend().BinaryPointwise(op, a, b, opt);
-    ExpectAllClose(ref, opt, 1e-6f, "BinaryPointwise");
+    ExpectBitIdentical(ref, opt, "BinaryPointwise");
   }
 
   Tensor ref(rows, cols);
   Tensor opt(rows, cols);
   reference().ScaleInto(a, 2.5f, ref);
   backend().ScaleInto(a, 2.5f, opt);
-  ExpectAllClose(ref, opt, 1e-6f, "ScaleInto");
+  ExpectBitIdentical(ref, opt, "ScaleInto");
 
   reference().AddScalarInto(a, -1.25f, ref);
   backend().AddScalarInto(a, -1.25f, opt);
-  ExpectAllClose(ref, opt, 1e-6f, "AddScalarInto");
+  ExpectBitIdentical(ref, opt, "AddScalarInto");
 
   const Tensor acc_seed = RandomTensor(rows, cols, rng_);
   Tensor ref_acc = acc_seed;
   Tensor opt_acc = acc_seed;
   reference().AccumulateAdd(a, ref_acc);
   backend().AccumulateAdd(a, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateAdd");
+  ExpectBitIdentical(ref_acc, opt_acc, "AccumulateAdd");
 
   reference().AccumulateScaled(a, -0.75f, ref_acc);
   backend().AccumulateScaled(a, -0.75f, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateScaled");
+  ExpectBitIdentical(ref_acc, opt_acc, "AccumulateScaled");
 
   reference().AccumulateMul(a, b, ref_acc);
   backend().AccumulateMul(a, b, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateMul");
+  ExpectBitIdentical(ref_acc, opt_acc, "AccumulateMul");
 
   reference().AccumulateConstant(0.125f, ref_acc);
   backend().AccumulateConstant(0.125f, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateConstant");
+  ExpectBitIdentical(ref_acc, opt_acc, "AccumulateConstant");
 
   EXPECT_NEAR(reference().SumAll(a), backend().SumAll(a), 1e-4);
 }
@@ -248,7 +239,7 @@ TEST_P(KernelEquivalenceTest, UnaryOpsForwardAndGrad) {
     Tensor opt(rows, cols);
     reference().UnaryForward(op, input, ref, param);
     backend().UnaryForward(op, input, opt, param);
-    ExpectAllClose(ref, opt, 1e-6f, "UnaryForward");
+    ExpectBitIdentical(ref, opt, "UnaryForward");
 
     const Tensor grad_seed = RandomTensor(rows, cols, rng_);
     Tensor ref_grad = grad_seed;
@@ -257,7 +248,7 @@ TEST_P(KernelEquivalenceTest, UnaryOpsForwardAndGrad) {
                                     param);
     backend().AccumulateUnaryGrad(op, input, opt, out_grad, opt_grad,
                                     param);
-    ExpectAllClose(ref_grad, opt_grad, 1e-6f, "AccumulateUnaryGrad");
+    ExpectBitIdentical(ref_grad, opt_grad, "AccumulateUnaryGrad");
   }
 }
 
@@ -272,25 +263,25 @@ TEST_P(KernelEquivalenceTest, BroadcastAndReductionOps) {
   Tensor opt(rows, cols);
   reference().AddRowBroadcastInto(a, bias, ref);
   backend().AddRowBroadcastInto(a, bias, opt);
-  ExpectAllClose(ref, opt, 1e-6f, "AddRowBroadcastInto");
+  ExpectBitIdentical(ref, opt, "AddRowBroadcastInto");
 
   const Tensor sums_seed = RandomTensor(1, cols, rng_);
   Tensor ref_sums = sums_seed;
   Tensor opt_sums = sums_seed;
   reference().AccumulateColumnSums(a, ref_sums);
   backend().AccumulateColumnSums(a, opt_sums);
-  ExpectAllClose(ref_sums, opt_sums, 1e-5f, "AccumulateColumnSums");
+  ExpectBitIdentical(ref_sums, opt_sums, "AccumulateColumnSums");
 
   reference().MulColumnBroadcastInto(a, column, ref);
   backend().MulColumnBroadcastInto(a, column, opt);
-  ExpectAllClose(ref, opt, 1e-6f, "MulColumnBroadcastInto");
+  ExpectBitIdentical(ref, opt, "MulColumnBroadcastInto");
 
   const Tensor acc_seed = RandomTensor(rows, cols, rng_);
   Tensor ref_acc = acc_seed;
   Tensor opt_acc = acc_seed;
   reference().AccumulateMulColumnBroadcast(a, column, ref_acc);
   backend().AccumulateMulColumnBroadcast(a, column, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateMulColumnBroadcast");
+  ExpectBitIdentical(ref_acc, opt_acc, "AccumulateMulColumnBroadcast");
 
   const Tensor dots_seed = RandomTensor(rows, 1, rng_);
   Tensor ref_dots = dots_seed;
@@ -315,7 +306,7 @@ TEST_P(KernelEquivalenceTest, GatherScatterConcatOps) {
   Tensor opt_out = out_seed;
   reference().GatherRowsAcc(table, indices, ref_out, offset);
   backend().GatherRowsAcc(table, indices, opt_out, offset);
-  ExpectAllClose(ref_out, opt_out, 1e-6f, "GatherRowsAcc");
+  ExpectBitIdentical(ref_out, opt_out, "GatherRowsAcc");
 
   // Scatter-add from a column block back into the table shape.
   const Tensor rows = RandomTensor(gathered, cols + 11, rng_);
@@ -324,7 +315,7 @@ TEST_P(KernelEquivalenceTest, GatherScatterConcatOps) {
   Tensor opt_table = table_seed;
   reference().ScatterAddRows(rows, indices, ref_table, offset);
   backend().ScatterAddRows(rows, indices, opt_table, offset);
-  ExpectAllClose(ref_table, opt_table, 1e-5f, "ScatterAddRows");
+  ExpectBitIdentical(ref_table, opt_table, "ScatterAddRows");
 
   // Column-block accumulate.
   const Tensor src = RandomTensor(gathered, cols + 11, rng_);
@@ -332,7 +323,7 @@ TEST_P(KernelEquivalenceTest, GatherScatterConcatOps) {
   Tensor opt_dest = out_seed;
   reference().AccumulateColumnBlock(src, 3, ref_dest, 5, cols);
   backend().AccumulateColumnBlock(src, 3, opt_dest, 5, cols);
-  ExpectAllClose(ref_dest, opt_dest, 1e-6f, "AccumulateColumnBlock");
+  ExpectBitIdentical(ref_dest, opt_dest, "AccumulateColumnBlock");
 }
 
 TEST_P(KernelEquivalenceTest, LayerNorm) {
@@ -350,7 +341,9 @@ TEST_P(KernelEquivalenceTest, LayerNorm) {
                                ref_inv);
   backend().LayerNormForward(x, gain, bias, epsilon, opt_out, opt_norm,
                                opt_inv);
-  ExpectAllClose(ref_out, opt_out, 1e-5f, "LayerNormForward");
+  ExpectBitIdentical(ref_out, opt_out, "LayerNormForward out");
+  ExpectBitIdentical(ref_norm, opt_norm, "LayerNormForward normalized");
+  EXPECT_EQ(ref_inv, opt_inv) << "LayerNormForward inv_stddev";
 
   const Tensor out_grad = RandomTensor(rows, cols, rng_);
   Tensor ref_dx(rows, cols), opt_dx(rows, cols);
@@ -360,139 +353,13 @@ TEST_P(KernelEquivalenceTest, LayerNorm) {
                                 &ref_dgain, &ref_dbias);
   backend().LayerNormBackward(out_grad, gain, opt_norm, opt_inv, &opt_dx,
                                 &opt_dgain, &opt_dbias);
-  ExpectAllClose(ref_dx, opt_dx, 1e-5f, "LayerNormBackward dx");
-  ExpectAllClose(ref_dgain, opt_dgain, 1e-5f, "LayerNormBackward dgain");
-  ExpectAllClose(ref_dbias, opt_dbias, 1e-5f, "LayerNormBackward dbias");
+  ExpectBitIdentical(ref_dx, opt_dx, "LayerNormBackward dx");
+  ExpectBitIdentical(ref_dgain, opt_dgain, "LayerNormBackward dgain");
+  ExpectBitIdentical(ref_dbias, opt_dbias, "LayerNormBackward dbias");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, KernelEquivalenceTest,
                          ::testing::ValuesIn(KindsUnderTest()), KindName);
-
-// ---- Pool-sharded graph kernels ------------------------------------------
-
-class PooledGraphKernelTest : public ::testing::Test {
- protected:
-  PooledGraphKernelTest()
-      // parallel_element_threshold=1 forces the sharded paths even on the
-      // small tensors used here.
-      : pooled_(&pool_, OptimizedBackend::kDefaultParallelFlopThreshold,
-                /*parallel_element_threshold=*/1) {}
-
-  /** Exact equality: the sharded paths promise bit-identical results. */
-  void ExpectBitIdentical(const Tensor& a, const Tensor& b,
-                          const std::string& label) {
-    ASSERT_EQ(a.rows(), b.rows()) << label;
-    ASSERT_EQ(a.cols(), b.cols()) << label;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a.data()[i], b.data()[i])
-          << label << " element " << i << " of " << a.size();
-    }
-  }
-
-  base::ThreadPool pool_{4};
-  const OptimizedBackend serial_;
-  const OptimizedBackend pooled_;
-  Rng rng_{20260808};
-};
-
-TEST_F(PooledGraphKernelTest, GatherRowsAccBitIdentical) {
-  const Tensor table = RandomTensor(37, 13, rng_);
-  const std::vector<int> indices = RandomIndices(101, 37, rng_);
-  const Tensor seed = RandomTensor(101, 13 + 5, rng_);
-  Tensor serial_out = seed;
-  Tensor pooled_out = seed;
-  serial_.GatherRowsAcc(table, indices, serial_out, /*out_col_offset=*/5);
-  pooled_.GatherRowsAcc(table, indices, pooled_out, /*out_col_offset=*/5);
-  ExpectBitIdentical(serial_out, pooled_out, "pooled GatherRowsAcc");
-}
-
-TEST_F(PooledGraphKernelTest, ScatterAddRowsBitIdentical) {
-  // Repeated indices make the accumulation order observable: the colored
-  // partition must still apply updates per destination row in ascending
-  // source order.
-  const Tensor rows = RandomTensor(97, 11 + 3, rng_);
-  const std::vector<int> indices = RandomIndices(97, 17, rng_);
-  const Tensor seed = RandomTensor(17, 11, rng_);
-  Tensor serial_table = seed;
-  Tensor pooled_table = seed;
-  serial_.ScatterAddRows(rows, indices, serial_table, /*rows_col_offset=*/3);
-  pooled_.ScatterAddRows(rows, indices, pooled_table, /*rows_col_offset=*/3);
-  ExpectBitIdentical(serial_table, pooled_table, "pooled ScatterAddRows");
-}
-
-TEST_F(PooledGraphKernelTest, LayerNormForwardBitIdentical) {
-  const int rows = 53;
-  const int cols = 29;
-  const Tensor x = RandomTensor(rows, cols, rng_, -3.0f, 3.0f);
-  const Tensor gain = RandomTensor(1, cols, rng_, 0.5f, 1.5f);
-  const Tensor bias = RandomTensor(1, cols, rng_);
-  Tensor serial_out(rows, cols), serial_norm(rows, cols);
-  Tensor pooled_out(rows, cols), pooled_norm(rows, cols);
-  std::vector<float> serial_inv(rows), pooled_inv(rows);
-  serial_.LayerNormForward(x, gain, bias, 1e-5f, serial_out, serial_norm,
-                           serial_inv);
-  pooled_.LayerNormForward(x, gain, bias, 1e-5f, pooled_out, pooled_norm,
-                           pooled_inv);
-  ExpectBitIdentical(serial_out, pooled_out, "pooled LayerNormForward out");
-  ExpectBitIdentical(serial_norm, pooled_norm,
-                     "pooled LayerNormForward normalized");
-  for (int r = 0; r < rows; ++r) {
-    ASSERT_EQ(serial_inv[r], pooled_inv[r]) << "inv_stddev row " << r;
-  }
-}
-
-TEST_F(PooledGraphKernelTest, LayerNormBackwardMatchesSerial) {
-  // dx is bit-identical (rows-parallel); the gain/bias reductions use
-  // per-shard partials, so they only promise closeness to the serial sum.
-  const int rows = 47;
-  const int cols = 31;
-  const Tensor x = RandomTensor(rows, cols, rng_, -3.0f, 3.0f);
-  const Tensor gain = RandomTensor(1, cols, rng_, 0.5f, 1.5f);
-  const Tensor bias = RandomTensor(1, cols, rng_);
-  Tensor out(rows, cols), norm(rows, cols);
-  std::vector<float> inv(rows);
-  serial_.LayerNormForward(x, gain, bias, 1e-5f, out, norm, inv);
-
-  const Tensor out_grad = RandomTensor(rows, cols, rng_);
-  Tensor serial_dx(rows, cols), pooled_dx(rows, cols);
-  Tensor serial_dgain(1, cols), pooled_dgain(1, cols);
-  Tensor serial_dbias(1, cols), pooled_dbias(1, cols);
-  serial_.LayerNormBackward(out_grad, gain, norm, inv, &serial_dx,
-                            &serial_dgain, &serial_dbias);
-  pooled_.LayerNormBackward(out_grad, gain, norm, inv, &pooled_dx,
-                            &pooled_dgain, &pooled_dbias);
-  ExpectBitIdentical(serial_dx, pooled_dx, "pooled LayerNormBackward dx");
-  ExpectAllClose(serial_dgain, pooled_dgain, 1e-5f,
-                 "pooled LayerNormBackward dgain");
-  ExpectAllClose(serial_dbias, pooled_dbias, 1e-5f,
-                 "pooled LayerNormBackward dbias");
-}
-
-TEST_F(PooledGraphKernelTest, RepeatedRunsAreDeterministic) {
-  // The sharded reductions fix their combination order, so re-running the
-  // same backward pass must reproduce every bit, including dgain/dbias.
-  const int rows = 41;
-  const int cols = 23;
-  const Tensor x = RandomTensor(rows, cols, rng_, -3.0f, 3.0f);
-  const Tensor gain = RandomTensor(1, cols, rng_, 0.5f, 1.5f);
-  const Tensor bias = RandomTensor(1, cols, rng_);
-  Tensor out(rows, cols), norm(rows, cols);
-  std::vector<float> inv(rows);
-  pooled_.LayerNormForward(x, gain, bias, 1e-5f, out, norm, inv);
-  const Tensor out_grad = RandomTensor(rows, cols, rng_);
-
-  Tensor first_dx(rows, cols), first_dgain(1, cols), first_dbias(1, cols);
-  pooled_.LayerNormBackward(out_grad, gain, norm, inv, &first_dx,
-                            &first_dgain, &first_dbias);
-  for (int run = 0; run < 3; ++run) {
-    Tensor dx(rows, cols), dgain(1, cols), dbias(1, cols);
-    pooled_.LayerNormBackward(out_grad, gain, norm, inv, &dx, &dgain,
-                              &dbias);
-    ExpectBitIdentical(first_dx, dx, "rerun dx");
-    ExpectBitIdentical(first_dgain, dgain, "rerun dgain");
-    ExpectBitIdentical(first_dbias, dbias, "rerun dbias");
-  }
-}
 
 // ---- Gradient checks for the new fused tape ops --------------------------
 
