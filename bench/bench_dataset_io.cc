@@ -9,7 +9,8 @@
  *      full pass, one shard resident): blocks/sec and MB/s.
  *   3. random access — StreamingCorpusSource under a shard-hopping
  *      access pattern with a small LRU window: blocks/sec and the
- *      shard reload count (the cost of sampling-style access).
+ *      records parsed by page loads (the cost of sampling-style access;
+ *      raw load counts are not comparable across page sizes).
  *   4. CSV import — the `granite_cli dataset import` path: blocks/sec
  *      over a synthesized CSV, plus the reject rate of the checked-in
  *      BHive sample CSV (--import-csv=PATH, default
@@ -131,14 +132,16 @@ void Run(int argc, char** argv) {
     const double seconds = SecondsSince(start);
     const double blocks_per_sec =
         static_cast<double>(accesses) / seconds;
+    const std::size_t records_parsed =
+        source.shard_loads() * source.records_per_shard();
     std::printf("random access:    %8.0f blocks/s  (%zu gets, "
-                "%zu shard loads, cache %zu shards)\n",
+                "%zu page loads x %zu records, cache %zu shards)\n",
                 blocks_per_sec, accesses, source.shard_loads(),
-                options.cache_shards);
+                source.records_per_shard(), options.cache_shards);
     RecordMetric("dataset_io.random_access.blocks_per_sec",
                  blocks_per_sec);
-    RecordMetric("dataset_io.random_access.shard_loads",
-                 static_cast<double>(source.shard_loads()));
+    RecordMetric("dataset_io.random_access.records_parsed",
+                 static_cast<double>(records_parsed));
   }
 
   // Phase 4a: CSV import throughput over a synthesized CSV (every row

@@ -106,8 +106,10 @@ IndexSplit SplitIndices(std::size_t size, double first_fraction,
 
 /**
  * Base for sources that materialize fixed-size shards on demand and keep
- * an LRU window of them resident. Get() is mutex-serialized; a shard
- * miss invokes LoadShard() while holding the lock.
+ * an LRU window of them resident. A shard here is the source's load
+ * unit, which need not be a file shard: StreamingCorpusSource loads
+ * pages of a few dozen records. Get() is mutex-serialized; a shard miss
+ * invokes LoadShard() while holding the lock.
  */
 class ShardedBlockSource : public BlockSource {
  public:

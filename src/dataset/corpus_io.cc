@@ -1,5 +1,6 @@
 #include "dataset/corpus_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -236,63 +237,71 @@ std::pair<CorpusHeader, std::uint64_t> OpenAndReadHeader(
   return {DecodeHeader(header_bytes, path), file_size};
 }
 
-/**
- * Seek-walks the shard table (no payload is read) and returns the byte
- * offset of every shard prelude, validating structural consistency:
- * record counts, payload lengths, and that exactly the 8-byte checksum
- * trailer follows the last shard.
- */
-std::vector<std::uint64_t> BuildShardIndex(std::ifstream& file,
-                                           const CorpusHeader& header,
-                                           std::uint64_t file_size,
-                                           const std::string& path) {
-  std::vector<std::uint64_t> offsets;
-  offsets.reserve(header.num_shards);
-  std::uint64_t cursor = kHeaderBytes;
-  for (std::uint64_t shard = 0; shard < header.num_shards; ++shard) {
-    if (file_size - cursor < 16 + 8) {
-      throw CorpusError("truncated corpus (shard " + std::to_string(shard) +
-                        " prelude): " + path);
-    }
-    offsets.push_back(cursor);
-    file.seekg(static_cast<std::streamoff>(cursor));
-    char prelude[16];
-    ReadExact(file, prelude, sizeof(prelude), "shard prelude", path);
-    std::uint64_t count = 0;
-    std::uint64_t bytes = 0;
-    std::memcpy(&count, prelude, 8);
-    std::memcpy(&bytes, prelude + 8, 8);
-    CheckShardPrelude(header, shard, count, bytes,
-                      file_size - cursor - 16 - 8, path);
-    cursor += 16 + bytes;
+/** Encoded bytes of one shard prelude (record count, payload length). */
+constexpr std::uint64_t kPreludeBytes = 16;
+
+/** A shard prelude, validated by ReadShardPrelude. */
+struct ShardPrelude {
+  char raw[kPreludeBytes] = {};
+  std::uint64_t count = 0;
+  std::uint64_t bytes = 0;
+};
+
+/** Reads and validates the prelude of shard `index`, which starts at the
+ * stream's position `cursor` in a `file_size`-byte file. */
+ShardPrelude ReadShardPrelude(std::ifstream& file, const CorpusHeader& header,
+                              std::uint64_t index, std::uint64_t cursor,
+                              std::uint64_t file_size,
+                              const std::string& path) {
+  if (file_size - cursor < kPreludeBytes + 8) {
+    throw CorpusError("truncated corpus (shard " + std::to_string(index) +
+                      " prelude): " + path);
   }
+  ShardPrelude prelude;
+  ReadExact(file, prelude.raw, kPreludeBytes, "shard prelude", path);
+  std::memcpy(&prelude.count, prelude.raw, 8);
+  std::memcpy(&prelude.bytes, prelude.raw + 8, 8);
+  CheckShardPrelude(header, index, prelude.count, prelude.bytes,
+                    file_size - cursor - kPreludeBytes - 8, path);
+  return prelude;
+}
+
+/** Throws unless the shard table ends exactly `cursor` bytes into the
+ * file, followed by the 8-byte checksum trailer. */
+void CheckShardTableEnd(std::uint64_t cursor, std::uint64_t file_size,
+                        const std::string& path) {
   if (cursor + 8 != file_size) {
     throw CorpusError(
         "corrupt corpus (trailing bytes after the last shard): " + path);
   }
-  return offsets;
 }
 
-/** Streams the whole file, verifying the trailer checksum. */
-void VerifyWholeFileChecksum(std::ifstream& file, std::uint64_t file_size,
-                             const std::string& path) {
-  file.clear();
-  file.seekg(0);
-  std::uint64_t checksum = kFnvOffsetBasis;
-  std::uint64_t remaining = file_size - 8;
-  std::vector<char> buffer(1 << 16);
-  while (remaining > 0) {
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(remaining, buffer.size());
-    ReadExact(file, buffer.data(), chunk, "checksum pass", path);
-    checksum = Fnv1a(checksum, buffer.data(), chunk);
-    remaining -= chunk;
+/**
+ * Seek-walks the shard table (no payload is read), validating structural
+ * consistency: record counts, payload lengths, and that exactly the
+ * 8-byte checksum trailer follows the last shard.
+ */
+void CheckShardTable(std::ifstream& file, const CorpusHeader& header,
+                     std::uint64_t file_size, const std::string& path) {
+  std::uint64_t cursor = kHeaderBytes;
+  for (std::uint64_t shard = 0; shard < header.num_shards; ++shard) {
+    file.seekg(static_cast<std::streamoff>(cursor));
+    const ShardPrelude prelude =
+        ReadShardPrelude(file, header, shard, cursor, file_size, path);
+    cursor += kPreludeBytes + prelude.bytes;
   }
-  std::uint64_t stored = 0;
-  ReadExact(file, reinterpret_cast<char*>(&stored), 8, "checksum", path);
-  if (stored != checksum) {
-    throw CorpusError("corrupt corpus (checksum mismatch): " + path);
-  }
+  CheckShardTableEnd(cursor, file_size, path);
+}
+
+/** Most records one StreamingCorpusSource page holds. */
+constexpr std::uint64_t kMaxPageRecords = 64;
+
+/** Largest divisor of `records_per_shard` that is at most
+ * kMaxPageRecords: pages of this size tile every shard exactly. */
+std::uint64_t PageRecordsFor(std::uint64_t records_per_shard) {
+  std::uint64_t page = std::min(records_per_shard, kMaxPageRecords);
+  while (records_per_shard % page != 0) --page;
+  return page;
 }
 
 }  // namespace
@@ -440,7 +449,7 @@ CorpusHeader ReadCorpusHeader(const std::string& path) {
   const auto [header, file_size] = OpenAndReadHeader(file, path);
   // Structural validation (seeks only): a half-written file must not
   // pass for an empty or truncated-but-valid corpus.
-  BuildShardIndex(file, header, file_size, path);
+  CheckShardTable(file, header, file_size, path);
   return header;
 }
 
@@ -518,10 +527,59 @@ StreamingCorpusSource::OpenState StreamingCorpusSource::Open(
   state.file.open(path, std::ios::binary);
   const auto [header, file_size] = OpenAndReadHeader(state.file, path);
   state.header = header;
-  state.shard_offsets =
-      BuildShardIndex(state.file, state.header, file_size, path);
+  state.page_records = PageRecordsFor(header.records_per_shard);
+  // One sequential pass, one shard payload resident: validate each
+  // prelude, walk each record-length field to find the page boundaries
+  // (a length that overruns its shard fails here, not at some later
+  // random read), and feed the same bytes to the checksum.
+  const std::string header_bytes = EncodeHeader(header);
+  std::uint64_t checksum =
+      Fnv1a(kFnvOffsetBasis, header_bytes.data(), header_bytes.size());
+  const std::uint64_t label_bytes = 8ull * header.num_labels;
+  std::string payload;
+  std::uint64_t cursor = kHeaderBytes;
+  for (std::uint64_t shard = 0; shard < header.num_shards; ++shard) {
+    const ShardPrelude prelude =
+        ReadShardPrelude(state.file, header, shard, cursor, file_size, path);
+    payload.resize(prelude.bytes);
+    ReadExact(state.file, payload.data(), prelude.bytes, "shard payload",
+              path);
+    if (options.verify_checksum) {
+      checksum = Fnv1a(checksum, prelude.raw, kPreludeBytes);
+      checksum = Fnv1a(checksum, payload.data(), payload.size());
+    }
+    const std::uint64_t payload_offset = cursor + kPreludeBytes;
+    std::uint64_t at = 0;
+    for (std::uint64_t record = 0; record < prelude.count; ++record) {
+      if (record % state.page_records == 0) {
+        state.pages.push_back(PageSpan{payload_offset + at, 0});
+      }
+      std::uint32_t text_length = 0;
+      const std::uint64_t left = prelude.bytes - at;
+      if (left >= 4) std::memcpy(&text_length, payload.data() + at, 4);
+      if (left < 4 || left - 4 < text_length + label_bytes) {
+        throw CorpusError("corrupt corpus (record " + std::to_string(record) +
+                          " of shard " + std::to_string(shard) +
+                          " overruns its shard): " + path);
+      }
+      at += 4 + text_length + label_bytes;
+      PageSpan& page = state.pages.back();
+      page.bytes = payload_offset + at - page.offset;
+    }
+    if (at != prelude.bytes) {
+      throw CorpusError("corrupt corpus (trailing bytes in shard " +
+                        std::to_string(shard) + " payload): " + path);
+    }
+    cursor = payload_offset + prelude.bytes;
+  }
+  CheckShardTableEnd(cursor, file_size, path);
   if (options.verify_checksum) {
-    VerifyWholeFileChecksum(state.file, file_size, path);
+    std::uint64_t stored = 0;
+    ReadExact(state.file, reinterpret_cast<char*>(&stored), 8, "checksum",
+              path);
+    if (stored != checksum) {
+      throw CorpusError("corrupt corpus (checksum mismatch): " + path);
+    }
   }
   return state;
 }
@@ -535,34 +593,30 @@ StreamingCorpusSource::StreamingCorpusSource(OpenState state,
                                              const std::string& path,
                                              std::size_t cache_shards)
     : ShardedBlockSource(
-          static_cast<std::size_t>(state.header.records_per_shard),
-          cache_shards),
+          static_cast<std::size_t>(state.page_records),
+          std::max<std::size_t>(1, cache_shards) *
+              static_cast<std::size_t>(state.header.records_per_shard /
+                                       state.page_records)),
       path_(path),
       file_(std::move(state.file)),
       header_(state.header),
-      shard_offsets_(std::move(state.shard_offsets)) {}
+      pages_(std::move(state.pages)) {}
 
 std::vector<Sample> StreamingCorpusSource::LoadShard(
-    std::size_t shard_index) const {
-  GRANITE_CHECK_LT(shard_index, shard_offsets_.size());
+    std::size_t page_index) const {
+  GRANITE_CHECK_LT(page_index, pages_.size());
+  const PageSpan& page = pages_[page_index];
   file_.clear();
-  file_.seekg(static_cast<std::streamoff>(shard_offsets_[shard_index]));
-  char prelude[16];
-  ReadExact(file_, prelude, sizeof(prelude), "shard prelude", path_);
-  std::uint64_t count = 0;
-  std::uint64_t bytes = 0;
-  std::memcpy(&count, prelude, 8);
-  std::memcpy(&bytes, prelude + 8, 8);
-  // Structure was validated at open; re-check cheaply in case the file
-  // changed under us.
-  if (count != ExpectedShardRecords(header_, shard_index) ||
-      bytes > count * (RecordOverheadBytes(header_.num_labels) +
-                       kMaxBlockTextBytes)) {
-    throw CorpusError("corpus changed while streaming: " + path_);
-  }
-  std::string payload(bytes, '\0');
-  ReadExact(file_, payload.data(), bytes, "shard payload", path_);
-  return ParseShardPayload(payload, count, header_.num_labels, path_);
+  file_.seekg(static_cast<std::streamoff>(page.offset));
+  std::string payload(page.bytes, '\0');
+  ReadExact(file_, payload.data(), page.bytes, "page payload", path_);
+  // The walk at open fixed this page's bytes; a file changed under us no
+  // longer parses to exactly the page's record count.
+  const std::uint64_t first = page_index * records_per_shard();
+  return ParseShardPayload(
+      payload,
+      std::min<std::uint64_t>(records_per_shard(), header_.num_blocks - first),
+      header_.num_labels, path_);
 }
 
 }  // namespace granite::dataset

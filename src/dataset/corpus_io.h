@@ -191,21 +191,35 @@ Dataset LoadCorpus(const std::string& path);
 
 /** Tuning of a file-backed streaming source. */
 struct StreamingCorpusOptions {
-  /** Shards kept resident (LRU). */
+  /**
+   * Resident-record budget, counted in file shards: at most
+   * `cache_shards * records_per_shard` parsed records stay resident. The
+   * window holds them as LRU pages of the source's records_per_shard()
+   * records each, not as whole file shards.
+   */
   std::size_t cache_shards = 8;
   /**
-   * Verify the whole-file checksum at open (one extra sequential pass,
-   * constant memory). Random shard access cannot verify a whole-file
-   * checksum incrementally, so with this off a bit flip in a label may
-   * go undetected (block corruption is still caught by the parser).
+   * Verify the whole-file checksum at open, hashing the bytes of the
+   * open pass that indexes the pages. Random page access cannot verify
+   * a whole-file checksum incrementally, so with this off a bit flip in
+   * a label may go undetected (a corrupt record length is still caught
+   * at open and corrupt block text by the parser).
    */
   bool verify_checksum = true;
 };
 
 /**
- * Random-access BlockSource over a corpus file: an index of shard
- * offsets is built at open, shards are parsed on demand and at most
- * `cache_shards` stay resident. Get() pins the backing shard, so views
+ * Random-access BlockSource over a corpus file. Records are loaded and
+ * cached in fixed pages, not whole file shards: a page is the largest
+ * divisor of the file's records_per_shard that is at most 64 records, so
+ * pages tile every shard and never straddle a shard prelude, and a
+ * random Get() parses one page instead of a whole shard. Open() reads
+ * the file once, validating every shard prelude and walking every
+ * record-length field to index each page's byte span (and verifying the
+ * whole-file checksum in the same pass when asked). The LRU window holds
+ * `cache_shards * records_per_shard / page` pages, the same record
+ * budget as `cache_shards` whole shards. records_per_shard() and
+ * shard_loads() count pages. Get() pins the backing page, so views
  * survive eviction. Thread-safe.
  */
 class StreamingCorpusSource : public ShardedBlockSource {
@@ -221,15 +235,24 @@ class StreamingCorpusSource : public ShardedBlockSource {
   const CorpusHeader& header() const { return header_; }
 
  protected:
-  std::vector<Sample> LoadShard(std::size_t shard_index) const override;
+  /** Reads and parses page `page_index` (records
+   * [page_index * records_per_shard(), ...)). */
+  std::vector<Sample> LoadShard(std::size_t page_index) const override;
 
  private:
+  /** File byte span of one page's records. */
+  struct PageSpan {
+    std::uint64_t offset = 0;
+    std::uint64_t bytes = 0;
+  };
+
   /** Everything Open() must produce before the base class (which needs
-   * the shard size) can be constructed. */
+   * the page size) can be constructed. */
   struct OpenState {
     std::ifstream file;
     CorpusHeader header;
-    std::vector<std::uint64_t> shard_offsets;
+    std::uint64_t page_records = 1;
+    std::vector<PageSpan> pages;
   };
 
   static OpenState Open(const std::string& path,
@@ -241,8 +264,7 @@ class StreamingCorpusSource : public ShardedBlockSource {
   std::string path_;
   mutable std::ifstream file_;
   CorpusHeader header_;
-  /** Byte offset of each shard's record-count field. */
-  std::vector<std::uint64_t> shard_offsets_;
+  std::vector<PageSpan> pages_;
 };
 
 }  // namespace granite::dataset

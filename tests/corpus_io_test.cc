@@ -2,10 +2,12 @@
  * @file
  * Corpus-file robustness suite: save/load round-trips must be bit-exact
  * (blocks and binary double labels), the chunked reader and the
- * random-access streaming source must agree with the whole-file load,
- * streaming synthesis must replay the materialized synthesis exactly,
- * and every class of malformed file (bad magic, truncation, flipped
- * payload or label bytes, inconsistent counts, trailing garbage) must
+ * random-access streaming source must agree with the whole-file load
+ * (at every page size it derives, parsing a page rather than a shard
+ * per random miss), streaming synthesis must replay the materialized
+ * synthesis exactly, and every class of malformed file (bad magic,
+ * truncation, flipped payload or label bytes, inconsistent counts,
+ * record lengths overrunning a shard, trailing garbage) must
  * raise a clean CorpusError — never UB, never a partial dataset.
  */
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "base/rng.h"
 #include "dataset/block_source.h"
 #include "dataset/corpus_io.h"
 #include "gtest/gtest.h"
@@ -76,7 +79,83 @@ class CorpusIoTest : public ::testing::Test {
     }
   }
 
+  /** Byte offset of every record (its text-length field) of shard
+   * `shard` in the encoded corpus `bytes`. */
+  static std::vector<std::size_t> RecordOffsets(const std::vector<char>& bytes,
+                                                std::size_t shard) {
+    std::size_t cursor = 56;  // fixed header
+    std::uint64_t count = 0;
+    std::uint64_t payload = 0;
+    for (std::size_t s = 0;; ++s) {
+      std::memcpy(&count, bytes.data() + cursor, 8);
+      std::memcpy(&payload, bytes.data() + cursor + 8, 8);
+      if (s == shard) break;
+      cursor += 16 + payload;
+    }
+    std::vector<std::size_t> offsets;
+    std::size_t at = cursor + 16;
+    for (std::uint64_t record = 0; record < count; ++record) {
+      offsets.push_back(at);
+      std::uint32_t text_length = 0;
+      std::memcpy(&text_length, bytes.data() + at, 4);
+      at += 4 + text_length + 8 * uarch::kNumMicroarchitectures;
+    }
+    return offsets;
+  }
+
+  /** Adds `delta` to the text-length field at byte `offset`. */
+  static void NudgeTextLength(std::vector<char>& bytes, std::size_t offset,
+                              std::int64_t delta) {
+    std::uint32_t text_length = 0;
+    std::memcpy(&text_length, bytes.data() + offset, 4);
+    text_length = static_cast<std::uint32_t>(text_length + delta);
+    std::memcpy(bytes.data() + offset, &text_length, 4);
+  }
+
+  /** Opening the current file must raise a CorpusError naming `what`,
+   * with and without the checksum pass. */
+  void ExpectOpenThrowsNaming(const std::string& what) const {
+    for (const bool verify : {true, false}) {
+      SCOPED_TRACE(verify ? "verify_checksum on" : "verify_checksum off");
+      StreamingCorpusOptions options;
+      options.verify_checksum = verify;
+      try {
+        const StreamingCorpusSource source(path_, options);
+        ADD_FAILURE() << "corrupt corpus opened";
+      } catch (const CorpusError& error) {
+        EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+            << error.what();
+      }
+    }
+  }
+
+  /** 5,120 distinct blocks shared by the page-granularity tests. */
+  static const Dataset& PageTestData() {
+    static const Dataset data = TinyDataset(5120, /*seed=*/13);
+    return data;
+  }
+
+  static Dataset FirstSamples(std::size_t count) {
+    const std::vector<Sample>& all = PageTestData().samples();
+    return Dataset(std::vector<Sample>(
+        all.begin(), all.begin() + static_cast<std::ptrdiff_t>(count)));
+  }
+
   std::string path_;
+};
+
+/** A file shard size, a corpus size leaving a short last shard, and the
+ * page size StreamingCorpusSource must derive. */
+struct PageCase {
+  std::uint64_t records_per_shard;
+  std::size_t num_blocks;
+  std::size_t page_records;
+};
+
+constexpr PageCase kPageCases[] = {
+    {4096, 5120, 64},  // 4096 = 64 * 64
+    {100, 530, 50},    // largest divisor of 100 up to 64
+    {4097, 5120, 17},  // 4097 = 17 * 241
 };
 
 TEST_F(CorpusIoTest, RoundTripIsBitExact) {
@@ -183,6 +262,56 @@ TEST_F(CorpusIoTest, ViewsPinTheirShardAcrossEviction) {
   // The pinned view must still be alive and intact (ASan would flag a
   // use-after-free here if pinning were broken).
   EXPECT_EQ(pinned.block->ToString(), expected);
+}
+
+TEST_F(CorpusIoTest, PagedSourceMatchesLoadCorpusAtEveryShardSize) {
+  for (const PageCase& page_case : kPageCases) {
+    SCOPED_TRACE("records_per_shard " +
+                 std::to_string(page_case.records_per_shard));
+    ASSERT_NE(page_case.num_blocks % page_case.records_per_shard, 0u);
+    SaveCorpus(FirstSamples(page_case.num_blocks), path_,
+               uarch::MeasurementTool::kIthemalTool, 5,
+               page_case.records_per_shard);
+    const Dataset loaded = LoadCorpus(path_);
+
+    // A fresh source parses exactly one page for its first Get().
+    {
+      const StreamingCorpusSource fresh(path_);
+      EXPECT_EQ(fresh.records_per_shard(), page_case.page_records);
+      fresh.Get(page_case.num_blocks / 2);
+      EXPECT_EQ(fresh.shard_loads(), 1u);
+    }
+
+    StreamingCorpusOptions options;
+    options.cache_shards = 1;
+    const StreamingCorpusSource source(path_, options);
+    ASSERT_EQ(source.size(), loaded.size());
+    Rng rng(page_case.records_per_shard);
+    for (const std::size_t i : rng.Permutation(source.size())) {
+      const SampleView view = source.Get(i);
+      ExpectSamplesEqual(loaded[i], Sample{*view.block, *view.throughput},
+                         "sample " + std::to_string(i));
+    }
+  }
+}
+
+TEST_F(CorpusIoTest, RandomBatchesParseAboutAPagePerMiss) {
+  // Ten file shards against the default window of eight: the trainer's
+  // uniformly random batches miss about a fifth of the time. Each miss
+  // must parse one page, not a 512-record shard (which costs about
+  // 10,000 records per batch).
+  SaveCorpus(FirstSamples(5120), path_, uarch::MeasurementTool::kIthemalTool,
+             5, /*records_per_shard=*/512);
+  const StreamingCorpusSource source(path_);
+  ASSERT_EQ(source.header().num_shards, 10u);
+  constexpr int kBatches = 20;
+  BatchSampler sampler(source.size(), /*batch_size=*/100, /*seed=*/3);
+  for (int batch = 0; batch < kBatches; ++batch) {
+    for (const std::size_t i : sampler.NextBatch()) source.Get(i);
+  }
+  const std::size_t records_parsed =
+      source.shard_loads() * source.records_per_shard();
+  EXPECT_LT(records_parsed / kBatches, 2048u);
 }
 
 TEST_F(CorpusIoTest, StreamingSynthesisMatchesMaterializedSynthesis) {
@@ -351,6 +480,48 @@ TEST_F(CorpusIoTest, FlippedLabelByteRaisesChecksumError) {
   WriteFile(bytes);
   EXPECT_THROW(LoadCorpus(path_), CorpusError);
   EXPECT_THROW(StreamingCorpusSource{path_}, CorpusError);
+}
+
+TEST_F(CorpusIoTest, RecordOverrunningItsShardRaisesAtOpen) {
+  SaveCorpus(TinyDataset(40), path_, uarch::MeasurementTool::kIthemalTool,
+             5, /*records_per_shard=*/16);
+  std::vector<char> bytes = ReadFile();
+  // The last record of the middle shard claims text running past the
+  // shard's payload. Only the open-time record walk sees this before a
+  // random read lands on the page.
+  NudgeTextLength(bytes, RecordOffsets(bytes, 1).back(), 1);
+  WriteFile(bytes);
+  ExpectOpenThrowsNaming("overruns its shard");
+  EXPECT_THROW(LoadCorpus(path_), CorpusError);
+}
+
+TEST_F(CorpusIoTest, RecordEndingShortOfItsShardRaisesAtOpen) {
+  SaveCorpus(TinyDataset(40), path_, uarch::MeasurementTool::kIthemalTool,
+             5, /*records_per_shard=*/16);
+  std::vector<char> bytes = ReadFile();
+  NudgeTextLength(bytes, RecordOffsets(bytes, 1).back(), -1);
+  WriteFile(bytes);
+  ExpectOpenThrowsNaming("trailing bytes in shard 1");
+  EXPECT_THROW(LoadCorpus(path_), CorpusError);
+}
+
+TEST_F(CorpusIoTest, CorpusChangedWhileStreamingRaisesOnPageLoad) {
+  // One 100-record shard read as pages of 50.
+  SaveCorpus(TinyDataset(100), path_, uarch::MeasurementTool::kIthemalTool,
+             5, /*records_per_shard=*/100);
+  StreamingCorpusOptions options;
+  options.verify_checksum = false;
+  const StreamingCorpusSource source(path_, options);
+  ASSERT_EQ(source.records_per_shard(), 50u);
+
+  std::vector<char> bytes = ReadFile();
+  NudgeTextLength(bytes, RecordOffsets(bytes, 0).back(), -1);
+  WriteFile(bytes);
+  // The second page no longer parses to its 50 records; the first page's
+  // bytes are untouched.
+  EXPECT_THROW(source.Get(99), CorpusError);
+  EXPECT_EQ(source.Get(0).block->ToString(),
+            TinyDataset(100)[0].block.ToString());
 }
 
 TEST_F(CorpusIoTest, TrailingGarbageRaisesCleanError) {
